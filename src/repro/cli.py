@@ -1034,8 +1034,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--batch-window", type=_positive_float,
                          default=0.02, dest="batch_window",
                          metavar="SECONDS",
-                         help="micro-batch collection window before "
-                              "dispatch (default 0.02)")
+                         help="how long a new request group waits for "
+                              "more configs of its source before an idle "
+                              "worker takes it (default 0.02)")
     serve_p.add_argument("--task-timeout", type=_positive_float,
                          default=None, dest="task_timeout",
                          metavar="SECONDS",

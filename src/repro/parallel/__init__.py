@@ -5,10 +5,13 @@ The fabric replaces ad-hoc per-caller fan-out: callers describe their
 work as :class:`PoolTask` items and hand them to a :class:`WorkerPool`;
 placement, transport, crash recovery and telemetry are owned here.
 Both the bench harness (:mod:`repro.harness.bench`) and the fuzz
-campaign (:mod:`repro.fuzz.campaign`) run on it.
+campaign (:mod:`repro.fuzz.campaign`) run on it; the compile service
+(:mod:`repro.service.session`) keeps one open-ended run fed through a
+:class:`TaskFeed`.
 """
 
 from repro.parallel.costmodel import CostModel, point_kind
+from repro.parallel.feed import TaskFeed
 from repro.parallel.pool import (
     TaskFailed,
     TransientTaskError,
@@ -36,6 +39,7 @@ __all__ = [
     "SegmentChecksumError",
     "StealScheduler",
     "TaskFailed",
+    "TaskFeed",
     "TaskResult",
     "TransientTaskError",
     "WorkerPool",

@@ -45,6 +45,16 @@ The pool is the execution half of the fabric (scheduling lives in
   fallback appends an :class:`~repro.resilience.incident.IncidentReport`
   (``domain="pool"``) to :attr:`WorkerPool.incidents`, so a degraded
   sweep is diagnosable from artifacts alone.
+* **Fed runs.**  ``run(feed=...)`` keeps one run open for a long-lived
+  caller (the compile service): whenever a worker goes idle the pool
+  pulls the next ready task from the :class:`~repro.parallel.feed.TaskFeed`,
+  preferring the worker whose arena already holds the task's affinity
+  group and spilling to another idle worker only while that one is
+  busy with other work (a group never runs on two workers at once).
+  Results reach the caller through ``on_result`` only (the run keeps
+  no per-task record), a deterministic failure fails only its own task
+  (:meth:`TaskFeed.failed`), and the run ends when the feed is closed
+  and drained.
 * **Serial fallback.**  ``jobs <= 1`` -- or a platform that cannot
   fork -- runs every task in-process in the same scheduled order, so
   callers never need a second code path and results are bit-identical
@@ -63,7 +73,6 @@ The pool is the execution half of the fabric (scheduling lives in
 
 from __future__ import annotations
 
-import contextlib
 import multiprocessing
 import os
 import random
@@ -74,6 +83,7 @@ from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from typing import Callable, Optional
 
+from repro.parallel.feed import TaskFeed
 from repro.parallel.scheduler import PoolTask, StealScheduler, TaskResult
 from repro.parallel.shm import (
     SegmentAllocator,
@@ -250,9 +260,8 @@ class WorkerPool:
         #: interrupts a close in progress must return, not escalate).
         self._closing = False
         self._close_lock = threading.Lock()
-        #: Serialises :meth:`run` across lease holders (reentrant, so a
-        #: lease holder's own ``run`` calls nest freely).
-        self._lease_lock = threading.RLock()
+        #: Serialises :meth:`run` calls from concurrent threads.
+        self._run_lock = threading.Lock()
         self.crashes = 0
         self.fallbacks = 0
         self.timeouts = 0
@@ -292,23 +301,6 @@ class WorkerPool:
         if self._closed:
             raise RuntimeError("pool is closed")
         self._start_workers()
-
-    @contextlib.contextmanager
-    def lease(self):
-        """Exclusive use of the pool for one logical client.
-
-        Concurrent threads sharing one warm pool (service dispatchers,
-        parallel test drivers) each wrap their :meth:`run` calls in a
-        lease; holders queue FIFO on the internal lock, and every run
-        still gets exact scheduling and accounting because only one
-        lease executes at a time.  The lock is reentrant: a lease
-        holder may call :meth:`run` (which takes the same lock) or
-        nest leases without deadlocking.
-        """
-        with self._lease_lock:
-            if self._closed:
-                raise RuntimeError("pool is closed")
-            yield self
 
     def _spawn(self, worker_id: int, inbox, incarnation: int) -> _Worker:
         recv_conn, send_conn = self._ctx.Pipe(duplex=False)
@@ -469,9 +461,10 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, tasks: list[PoolTask],
+    def run(self, tasks: list[PoolTask] = (),
             cancel: Optional[Callable[[TaskResult], bool]] = None,
             on_result: Optional[Callable[[TaskResult], None]] = None,
+            feed: Optional[TaskFeed] = None,
             ) -> list[TaskResult]:
         """Run ``tasks``; returns results in task order.
 
@@ -481,69 +474,77 @@ class WorkerPool:
         called with each :class:`TaskResult` the moment it completes
         (execution order, not task order) -- the hook sweep journals
         use to persist progress incrementally.
+
+        With ``feed`` the run is open-ended (see module docstring):
+        ``tasks`` must be empty, every task comes from the feed, each
+        result is delivered only through ``on_result``, and the call
+        returns ``[]`` once the feed is closed and drained.  Concurrent
+        calls from several threads run one at a time.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
-        if not tasks:
+        tasks = list(tasks)
+        if feed is not None and tasks:
+            raise ValueError("a fed run takes its tasks from the feed")
+        if feed is None and not tasks:
             return []
         ids = [t.id for t in tasks]
         if len(set(ids)) != len(ids):
             raise ValueError("task ids must be unique")
-        # One run at a time: concurrent lease holders queue here (see
-        # :meth:`lease`); the lock is reentrant so a holder's own call
-        # enters immediately.
-        with self._lease_lock:
+        with self._run_lock:
             if self._closed:
                 raise RuntimeError("pool is closed")
+            if self.jobs > 1:
+                self._start_workers()
+            state = _RunState(self, StealScheduler(tasks, self.jobs), cancel,
+                              on_result, feed)
             if self.jobs <= 1:
-                results = self._run_serial(tasks, cancel, on_result)
+                self._run_serial(state)
             else:
-                results = self._run_parallel(tasks, cancel, on_result)
-        return [results[t.id] for t in tasks if t.id in results]
+                self._run_parallel(state)
+        return [state.results[t.id] for t in tasks if t.id in state.results]
 
-    def _run_serial(self, tasks, cancel, on_result) -> dict[str, TaskResult]:
-        scheduler = StealScheduler(tasks, 1)
-        results: dict[str, TaskResult] = {}
-        wall_start = time.perf_counter()
-        base = self._counter_totals()
-        busy = 0.0
+    def _run_serial(self, state: "_RunState") -> None:
+        feed = state.feed
         with fresh_arena():  # cache behaviour matches a cold worker
             while True:
-                item = scheduler.next_for(0)
+                item = state.next_task(0)
                 if item is None:
-                    break
+                    if feed is None or feed.done():
+                        break
+                    feed.wait(feed.due_in())
+                    continue
                 task, _ = item
+                state.in_flight[0] = _Flight(task)
+                state.tick()
                 start = time.perf_counter()
                 try:
                     value = task.fn(task.payload)
                 except Exception:
-                    raise TaskFailed(task.id,
-                                     traceback.format_exc()) from None
+                    failure = traceback.format_exc()
+                else:
+                    failure = None
                 duration = time.perf_counter() - start
-                busy += duration
-                result = TaskResult(task, value, 0, duration)
-                results[task.id] = result
-                if on_result is not None:
-                    on_result(result)
-                if cancel is not None and cancel(result):
-                    scheduler.clear_pending()
-        self._record_run(scheduler, results, time.perf_counter() - wall_start,
-                         {0: busy}, base)
-        return results
+                del state.in_flight[0]
+                state.tick()
+                if failure is not None:
+                    state.fail(task, failure)
+                else:
+                    state.complete(TaskResult(task, value, 0, duration))
+        self._finish_run(state)
 
-    def _run_parallel(self, tasks, cancel, on_result) -> dict[str, TaskResult]:
-        self._start_workers()
-        base = self._counter_totals()
-        state = _RunState(self, StealScheduler(tasks, self.jobs), cancel,
-                          on_result)
-        for worker_id in range(self.jobs):
-            state.dispatch(worker_id)
-        while state.in_flight or state.delayed:
+    def _run_parallel(self, state: "_RunState") -> None:
+        feed = state.feed
+        state.fill()
+        while (state.in_flight or state.delayed
+               or (feed is not None and not feed.done())):
+            state.tick()
             timeout = state.wait_timeout()
             conns = {self._workers[w].conn: w for w in state.in_flight}
-            if conns:
+            waitables = list(conns) + ([feed] if feed is not None else [])
+            if waitables:
                 try:
-                    ready = mp_connection.wait(list(conns), timeout=timeout)
+                    ready = mp_connection.wait(waitables, timeout=timeout)
                 except OSError:
                     ready = []
             else:
@@ -552,6 +553,9 @@ class WorkerPool:
                 ready = []
             progressed = False
             for conn in ready:
+                if conn is feed:
+                    feed.clear()  # new work: offered by fill() below
+                    continue
                 worker_id = conns[conn]
                 worker = self._workers[worker_id]
                 try:
@@ -570,12 +574,15 @@ class WorkerPool:
             self._handle_timeouts(state)
             if not progressed:
                 self._handle_crashes(state)
-        self._record_run(state.scheduler, state.results,
-                         time.perf_counter() - state.wall_start, state.busy,
-                         base, state.retry_counts, state.timeout_counts)
+            if feed is not None:
+                state.fill()
+        self._finish_run(state)
+
+    def _finish_run(self, state: "_RunState") -> None:
+        state.tick()
+        self._record_run(state)
         if state.error is not None:
             raise state.error
-        return state.results
 
     def _handle_crashes(self, state: "_RunState") -> None:
         """Deal with workers that died with a task in flight.
@@ -642,8 +649,7 @@ class WorkerPool:
                 continue  # the drain delivered its result after all
             del state.in_flight[worker_id]
             self.timeouts += 1
-            state.timeout_counts[worker_id] = \
-                state.timeout_counts.get(worker_id, 0) + 1
+            self._count("pool.timeouts", worker=worker_id)
             flight.timed_out = True
             self._incident(
                 "worker-hang",
@@ -674,8 +680,7 @@ class WorkerPool:
         if flight.retries < self.max_task_retries:
             flight.retries += 1
             self.retries += 1
-            state.retry_counts[worker_id] = \
-                state.retry_counts.get(worker_id, 0) + 1
+            self._count("pool.retries", worker=worker_id)
             delay = self._backoff_delay(flight)
             self._incident(
                 kind,
@@ -711,13 +716,13 @@ class WorkerPool:
         try:
             value = flight.task.fn(flight.task.payload)
         except Exception:
-            state.fail(flight.task.id, traceback.format_exc())
-            return
-        state.complete(TaskResult(
-            flight.task, value, -1, time.perf_counter() - start,
-            attempts=flight.attempts, degraded=True,
-            stolen=flight.stolen, retries=flight.retries,
-            timed_out=flight.timed_out))
+            state.fail(flight.task, traceback.format_exc())
+        else:
+            state.complete(TaskResult(
+                flight.task, value, -1, time.perf_counter() - start,
+                attempts=flight.attempts, degraded=True,
+                stolen=flight.stolen, retries=flight.retries,
+                timed_out=flight.timed_out))
         state.dispatch(worker_id)
 
     # ------------------------------------------------------------------
@@ -731,74 +736,115 @@ class WorkerPool:
             "workers_killed": self.workers_killed,
         }
 
-    def _record_run(self, scheduler, results, wall: float,
-                    busy: dict[int, float], base: dict[str, int],
-                    retry_counts: Optional[dict[int, int]] = None,
-                    timeout_counts: Optional[dict[int, int]] = None) -> None:
+    def _count(self, name: str, amount: float = 1, **labels) -> None:
+        if self._metrics is not None:
+            self._metrics.counter(name, **labels).inc(amount)
+
+    def _publish(self, state: "_RunState", result: TaskResult) -> None:
+        """Telemetry for one completed task, recorded as it lands: a fed
+        run lasts a daemon's lifetime, and ``/metrics`` must show it
+        long before :meth:`_record_run`."""
+        if self._metrics is None:
+            return
+        if result.worker < 0:
+            self._count("pool.fallback_tasks")
+        else:
+            self._count("pool.tasks", worker=result.worker)
+            self._count("pool.busy_seconds", result.duration,
+                        worker=result.worker)
+        self._publish_run(state)
+
+    def _publish_run(self, state: "_RunState") -> None:
+        """Per-worker utilization and the pool-level counters' deltas.
+
+        Utilization is busy seconds over the run's *active* seconds
+        (time with a task in flight or awaiting a retry), so the idle
+        stretches of a fed run do not dilute it."""
+        registry = self._metrics
+        active = max(state.active_seconds(), 1e-9)
+        for worker_id in range(self.jobs):
+            registry.gauge("pool.utilization", worker=worker_id).set(
+                min(state.busy.get(worker_id, 0.0) / active, 1.0))
+        # The attributes are pool-lifetime totals; a registry shared
+        # across runs records each run's delta, never a total twice.
+        totals = self._counter_totals()
+        for name, total in totals.items():
+            registry.counter(f"pool.{name}").inc(total - state.published[name])
+        state.published = totals
+
+    def _record_run(self, state: "_RunState") -> None:
         registry = self._metrics
         if registry is None:
             return
-        wall = max(wall, 1e-9)
         registry.gauge("pool.workers").set(self.jobs)
-        per_worker_tasks: dict[int, int] = {}
-        for result in results.values():
-            per_worker_tasks[result.worker] = \
-                per_worker_tasks.get(result.worker, 0) + 1
+        # Every worker reports, idle ones as zero.
         for worker_id in range(self.jobs):
-            registry.counter("pool.tasks", worker=worker_id).inc(
-                per_worker_tasks.get(worker_id, 0))
-            seconds = busy.get(worker_id, 0.0)
-            registry.counter("pool.busy_seconds", worker=worker_id).inc(
-                seconds)
-            registry.gauge("pool.utilization", worker=worker_id).set(
-                min(seconds / wall, 1.0))
-            registry.counter("pool.steals", worker=worker_id).inc(
-                scheduler.steals[worker_id])
-            registry.counter("pool.retries", worker=worker_id).inc(
-                (retry_counts or {}).get(worker_id, 0))
-            registry.counter("pool.timeouts", worker=worker_id).inc(
-                (timeout_counts or {}).get(worker_id, 0))
-        # Pool-level counters record this run's delta (the attributes
-        # are pool-lifetime totals; a registry shared across runs must
-        # not double count).
-        for name, total in self._counter_totals().items():
-            registry.counter(f"pool.{name}").inc(total - base[name])
-        registry.counter("pool.fallback_tasks").inc(
-            per_worker_tasks.get(-1, 0))
-        registry.gauge("pool.wall_seconds").set(wall)
+            for name in ("pool.tasks", "pool.busy_seconds", "pool.steals",
+                         "pool.retries", "pool.timeouts"):
+                registry.counter(name, worker=worker_id)
+        registry.counter("pool.fallback_tasks")
+        self._publish_run(state)
+        registry.gauge("pool.wall_seconds").set(
+            max(time.perf_counter() - state.wall_start, 1e-9))
 
 
 class _RunState:
-    """Book-keeping for one :meth:`WorkerPool.run` parallel invocation."""
+    """Book-keeping for one :meth:`WorkerPool.run` invocation."""
 
     def __init__(self, pool: WorkerPool, scheduler: StealScheduler,
-                 cancel, on_result=None) -> None:
+                 cancel, on_result=None,
+                 feed: Optional[TaskFeed] = None) -> None:
         self.pool = pool
         self.scheduler = scheduler
         self.cancel = cancel
         self.on_result = on_result
+        self.feed = feed
+        #: task id -> result (a fed run keeps none: see :meth:`complete`).
         self.results: dict[str, TaskResult] = {}
         self.in_flight: dict[int, _Flight] = {}
         #: worker id -> (monotonic due time, flight) backoff retries.
         self.delayed: dict[int, tuple[float, _Flight]] = {}
         self.busy: dict[int, float] = {}
-        self.retry_counts: dict[int, int] = {}
-        self.timeout_counts: dict[int, int] = {}
         self.error: Optional[TaskFailed] = None
         self.wall_start = time.perf_counter()
+        #: Seconds with work in flight or awaiting a retry (see tick()).
+        self.active = 0.0
+        self._active_since: Optional[float] = None
+        #: Pool counter totals already published to the registry.
+        self.published = pool._counter_totals()
 
     # ------------------------------------------------------------------
-    def wait_timeout(self) -> float:
-        """How long the dispatch loop may sleep before the next
-        deadline or backoff retry comes due."""
-        timeout = POLL_INTERVAL
+    def tick(self) -> None:
+        """Advance the active-time clock to now."""
+        now = time.perf_counter()
+        if self._active_since is not None:
+            self.active += now - self._active_since
+        self._active_since = now if (self.in_flight or self.delayed) else None
+
+    def active_seconds(self) -> float:
+        if self._active_since is None:
+            return self.active
+        return self.active + time.perf_counter() - self._active_since
+
+    def idle(self, worker_id: int) -> bool:
+        """No task in flight and no backoff retry owns the worker."""
+        return worker_id not in self.in_flight and worker_id not in self.delayed
+
+    def wait_timeout(self) -> Optional[float]:
+        """How long the dispatch loop may sleep before the next liveness
+        poll, deadline, backoff retry or held feed work comes due
+        (``None``: until the feed wakes it)."""
         now = time.monotonic()
-        for flight in self.in_flight.values():
-            if flight.deadline is not None:
-                timeout = min(timeout, flight.deadline - now)
-        for due, _ in self.delayed.values():
-            timeout = min(timeout, due - now)
-        return max(0.0, timeout)
+        dues = [POLL_INTERVAL] if self.in_flight or self.delayed else []
+        dues += [flight.deadline - now for flight in self.in_flight.values()
+                 if flight.deadline is not None]
+        dues += [due - now for due, _ in self.delayed.values()]
+        if self.feed is not None and any(
+                self.idle(w) for w in range(self.pool.jobs)):
+            held = self.feed.due_in()
+            if held is not None:
+                dues.append(held)
+        return max(0.0, min(dues)) if dues else None
 
     def release_due_retries(self) -> None:
         now = time.monotonic()
@@ -821,27 +867,81 @@ class _RunState:
             (flight.task.id, flight.task.fn, flight.task.payload,
              flight.dispatches))
 
-    def dispatch(self, worker_id: int) -> None:
-        if self.error is not None:
-            return
-        if worker_id in self.in_flight or worker_id in self.delayed:
-            return  # busy (a backoff retry owns this worker)
-        item = self.scheduler.next_for(worker_id)
+    def fill(self) -> None:
+        """Offer work to every idle worker until none takes any: a group
+        one worker leaves for its idle home worker is offered again
+        once that worker is busy."""
+        while any([self.dispatch(w) for w in range(self.pool.jobs)]):
+            pass
+
+    def dispatch(self, worker_id: int) -> bool:
+        """Send ``worker_id`` its next task if it is idle; True if sent."""
+        if self.error is not None or not self.idle(worker_id):
+            return False
+        item = self.next_task(worker_id)
         if item is None:
-            return
+            return False
         task, stolen = item
         self.send(worker_id, _Flight(task, attempts=1, stolen=stolen))
+        return True
 
-    def fail(self, task_id: str, detail: str) -> None:
-        if self.error is None:
-            self.error = TaskFailed(task_id, detail)
+    def next_task(self, worker_id: int) -> Optional[tuple[PoolTask, bool]]:
+        """The scheduler's next ``(task, stolen)`` for an idle worker,
+        pulling one from the feed once the deques are empty.  A pulled
+        task is placed like any other, so one that leaves a busy home
+        worker for this one counts as a steal."""
+        item = self.scheduler.next_for(worker_id)
+        if item is None and self.feed is not None:
+            task = self.feed.pull(
+                lambda affinity: self._rank(worker_id, affinity))
+            if task is None:
+                return None
+            self.scheduler.add([task], prefer=worker_id)
+            item = self.scheduler.next_for(worker_id)
+        if item is not None and item[1]:
+            self.pool._count("pool.steals", worker=worker_id)
+        return item
+
+    def _rank(self, worker_id: int, affinity) -> Optional[int]:
+        """Feed preference for ``worker_id``: groups homed on it first,
+        then new groups, then groups whose home worker is busy with
+        other work.  A group whose home worker is idle is left to that
+        worker, and a group with a task in flight waits for it: a
+        second worker would repeat the group's work, and what waits
+        meanwhile joins the group's next task."""
+        if affinity is not None and any(
+                flight.task.affinity == affinity for flight in
+                [*self.in_flight.values(),
+                 *(flight for _, flight in self.delayed.values())]):
+            return None
+        home = self.scheduler.home(affinity)
+        if home is None:
+            return 1
+        if home == worker_id:
+            return 0
+        return None if self.idle(home) else 2
+
+    def fail(self, task: PoolTask, detail: str) -> None:
+        """A deterministic task failure: a fed run hands it to the feed
+        and carries on; a task-list run aborts."""
+        error = TaskFailed(task.id, detail)
+        if self.feed is not None:
+            self.scheduler.owner.pop(task.id, None)
+            self.feed.failed(task, error)
+        elif self.error is None:
+            self.error = error
             self.scheduler.clear_pending()
 
     def complete(self, result: TaskResult) -> None:
-        self.results[result.task.id] = result
+        if self.feed is None:
+            self.results[result.task.id] = result
+        else:
+            # A fed run may last a daemon's lifetime: keep nothing per task.
+            self.scheduler.owner.pop(result.task.id, None)
         if result.worker >= 0:
             self.busy[result.worker] = \
                 self.busy.get(result.worker, 0.0) + result.duration
+        self.pool._publish(self, result)
         if self.on_result is not None:
             self.on_result(result)
         if (self.cancel is not None and self.error is None
@@ -864,7 +964,7 @@ class _RunState:
             return
         del self.in_flight[worker_id]
         if status == "err":
-            self.fail(task_id, body)
+            self.fail(flight.task, body)
         else:
             try:
                 value = decode_result(body)

@@ -15,13 +15,18 @@ Placement happens in two phases:
    victim's deque.  Stealing trades arena warmth for load balance; the
    shared on-disk cache keeps the functional part of that trade cheap.
 
+Tasks can also join after construction (:meth:`StealScheduler.add`, the
+pool's fed runs).  An affinity group keeps the *home* worker it was
+first placed on, so a later task of the group joins that worker's deque
+and a different worker that takes it counts as a steal.
+
 The scheduler is driven from the pool's dispatch loop in the parent
 process, so steal accounting is exact and free of races.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -65,6 +70,11 @@ class TaskResult:
     timed_out: bool = False
 
 
+#: Affinity homes remembered per scheduler (least recently placed
+#: forgotten first), so a long-lived fed run stays bounded.
+HOME_CAP = 4096
+
+
 @dataclass
 class _WorkerQueue:
     tasks: deque = field(default_factory=deque)
@@ -81,10 +91,18 @@ class StealScheduler:
         self._queues = [_WorkerQueue() for _ in range(workers)]
         self.owner: dict[str, int] = {}
         self.steals = [0] * workers
-        self._assign(tasks)
+        #: affinity -> the worker its group was first placed on.
+        self._homes: OrderedDict = OrderedDict()
+        self.add(tasks)
 
     # ------------------------------------------------------------------
-    def _assign(self, tasks: list[PoolTask]) -> None:
+    def add(self, tasks: list[PoolTask], prefer: Optional[int] = None) -> None:
+        """Place ``tasks`` onto the worker deques.
+
+        A group whose affinity already has a home joins that worker's
+        deque.  A new group goes to ``prefer`` when given, else to the
+        least-loaded worker; groups are placed longest-first.
+        """
         groups: dict[object, list[PoolTask]] = {}
         for index, task in enumerate(tasks):
             # Affinity-less tasks form singleton groups (unique key).
@@ -97,13 +115,26 @@ class StealScheduler:
                                  members[0].id),
         )
         for members in ordered:
-            target = min(range(self.workers),
-                         key=lambda w: (self._queues[w].load, w))
+            affinity = members[0].affinity
+            target = self.home(affinity)
+            if target is None:
+                target = prefer if prefer is not None else min(
+                    range(self.workers),
+                    key=lambda w: (self._queues[w].load, w))
+            if affinity is not None:
+                self._homes[affinity] = target
+                self._homes.move_to_end(affinity)
+                if len(self._homes) > HOME_CAP:
+                    self._homes.popitem(last=False)
             queue = self._queues[target]
             for task in sorted(members, key=lambda t: (-t.cost, t.id)):
                 queue.tasks.append(task)
                 queue.load += task.cost
                 self.owner[task.id] = target
+
+    def home(self, affinity) -> Optional[int]:
+        """The worker ``affinity``'s group was first placed on, if any."""
+        return self._homes.get(affinity) if affinity is not None else None
 
     # ------------------------------------------------------------------
     def pending(self) -> int:

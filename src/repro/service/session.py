@@ -13,12 +13,18 @@ threads):
 * the in-flight table that **coalesces** identical requests -- the
   second submit of a content hash joins the first's computation and
   both get the same bytes back;
-* the dispatcher thread that collects submits for one
-  ``batch_window``, groups them by functional key (same source, scale
-  and check flag -> same interpretation work) and ships one
-  :class:`~repro.parallel.PoolTask` per group carrying every distinct
-  machine config, which the worker replays as one
-  :class:`~repro.machine.batch.BatchedSimulator` lane group.
+* the dispatcher thread, which keeps **one open-ended pool run** fed
+  by the session (:class:`~repro.parallel.TaskFeed`).  Submits join a
+  waiting *functional group* (same source, scale and check flag ->
+  same interpretation work); whenever a worker goes idle the pool pulls
+  the oldest group whose ``batch_window`` has passed since its first
+  submit -- preferring the worker whose arena already holds it -- as
+  one :class:`~repro.parallel.PoolTask` carrying every distinct machine
+  config, which the worker replays as one
+  :class:`~repro.machine.batch.BatchedSimulator` lane group.  Configs
+  that arrive while every worker is busy keep joining their group, and
+  each task's requests resolve the moment that task finishes, never
+  waiting on a slower neighbour.
 
 Lifecycle: :meth:`submit` -> future; :meth:`drain` on SIGTERM (stop
 admitting, finish in-flight, flush incidents, close the pool).  All
@@ -36,7 +42,7 @@ from typing import Callable, Optional
 
 from repro.harness.cache import ShardedExperimentCache
 from repro.obs import MetricsRegistry, TraceEnvelope
-from repro.parallel import PoolTask, WorkerPool
+from repro.parallel import PoolTask, TaskFeed, WorkerPool
 from repro.service.admission import AdmissionController
 from repro.service.protocol import (
     ExperimentRequest,
@@ -71,6 +77,69 @@ class _Entry:
         self.group = functional_key(req)
         self.machine = machine_key(req)
         self.waiters: list[_Waiter] = []
+        self.resolved = False
+
+
+class _GroupFeed(TaskFeed):
+    """The session's waiting room: functional groups no worker has
+    started yet, oldest first.
+
+    A group becomes ready ``batch_window`` seconds after its first
+    entry (at once while draining); until a worker takes it, later
+    entries of the same functional key join it."""
+
+    def __init__(self, session: "ServiceSession") -> None:
+        super().__init__()
+        self._session = session
+        self._lock = threading.Lock()
+        #: functional key -> (monotonic ready time, entries).
+        self._groups: dict[str, tuple[float, list[_Entry]]] = {}
+
+    def add(self, entry: _Entry) -> None:
+        with self._lock:
+            group = self._groups.get(entry.group)
+            if group is None:
+                group = self._groups[entry.group] = (
+                    time.monotonic() + self._session.batch_window, [])
+            group[1].append(entry)
+        self.notify()
+
+    def queued(self) -> int:
+        with self._lock:
+            return sum(len(entries) for _, entries in self._groups.values())
+
+    def take_all(self) -> list[_Entry]:
+        with self._lock:
+            groups, self._groups = self._groups, {}
+        return [entry for _, entries in groups.values() for entry in entries]
+
+    # -- TaskFeed hooks ------------------------------------------------
+    def due_in(self) -> Optional[float]:
+        with self._lock:
+            if not self._groups:
+                return None
+            if self.closed:
+                return 0.0
+            ready = min(ready for ready, _ in self._groups.values())
+        return max(0.0, ready - time.monotonic())
+
+    def pull(self, rank) -> Optional[PoolTask]:
+        now = time.monotonic()
+        best = best_rank = None
+        with self._lock:
+            for key, (ready, _) in self._groups.items():
+                if ready > now and not self.closed:
+                    continue
+                score = rank(key)
+                if score is not None and (best is None or score < best_rank):
+                    best, best_rank = key, score
+            if best is None:
+                return None
+            _, entries = self._groups.pop(best)
+        return self._session._task_for(best, entries)
+
+    def failed(self, task: PoolTask, error) -> None:
+        self._session._task_failed(task, error)
 
 
 class ServiceSession:
@@ -116,10 +185,10 @@ class ServiceSession:
         #: these into the ``service.incidents`` info metric).
         self.incidents: list[dict] = []
         self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
-        self._queue: list[_Entry] = []
         self._inflight_entries: dict[str, _Entry] = {}
-        self._stop = False
+        #: task id -> the entries a started pool task will resolve.
+        self._running: dict[str, list[_Entry]] = {}
+        self._feed = _GroupFeed(self)
         self._task_seq = 0
         self._req_seq = 0
         self._dispatcher = threading.Thread(
@@ -174,7 +243,7 @@ class ServiceSession:
                                   "cached": True, "request_key": key})
             return waiter.future
 
-        with self._cond:
+        with self._lock:
             entry = self._inflight_entries.get(key)
             if entry is not None:
                 self.metrics.counter("service.coalesced").inc()
@@ -185,110 +254,124 @@ class ServiceSession:
             entry = _Entry(req, key)
             entry.waiters.append(waiter)
             self._inflight_entries[key] = entry
-            self._queue.append(entry)
-            self._cond.notify_all()
         self._emit(waiter, {"event": "queued", "coalesced": False,
                             "request_key": key})
+        self._feed.add(entry)
         return waiter.future
 
     # ------------------------------------------------------------------
     # Dispatcher
     # ------------------------------------------------------------------
     def _dispatch_loop(self) -> None:
-        while True:
-            with self._cond:
-                while not self._queue and not self._stop:
-                    self._cond.wait()
-                if self._stop and not self._queue:
-                    return
-            # Let the micro-batch fill: submits arriving within the
-            # window ride the same pool run (and the same lane groups).
-            time.sleep(self.batch_window)
-            with self._cond:
-                batch, self._queue = self._queue, []
-            if batch:
+        try:
+            while True:
                 try:
-                    self._run_batch(batch)
-                except BaseException as exc:  # noqa: BLE001
-                    self._fail_batch(batch, exc)
+                    self.pool.run(on_result=self._on_result, feed=self._feed)
+                    return  # drained: the feed closed and emptied
+                except Exception as exc:  # noqa: BLE001
+                    # The run broke (not a task: those fail alone).
+                    # Fail what it held and open a new one.
+                    self._fail_pending(exc)
+                    if self._feed.closed:
+                        return
+                    time.sleep(self.batch_window)
+        finally:
+            self._feed.release()
 
-    def _run_batch(self, batch: list[_Entry]) -> None:
-        groups: dict[str, list[_Entry]] = {}
-        for entry in batch:
-            groups.setdefault(entry.group, []).append(entry)
+    def _task_for(self, group_key: str, entries: list[_Entry]) -> PoolTask:
+        """One pool task for a waiting group (a worker is taking it)."""
+        with self._lock:
+            self._task_seq += 1
+            task_id = f"svc-{self._task_seq}"
+            self._running[task_id] = entries
+        payload = {
+            "group": group_key,
+            "source": entries[0].req.source_dict(),
+            "configs": [{"key": e.machine, "spec": e.req.machine}
+                        for e in entries],
+            "cache_dir": self._artifact_dir,
+        }
+        self.metrics.counter("service.tasks_dispatched").inc()
+        self.metrics.counter("service.configs_dispatched").inc(len(entries))
+        for entry in entries:
+            for waiter in entry.waiters:
+                self._emit(waiter, {"event": "dispatched", "task": task_id,
+                                    "configs": len(entries)})
+        return PoolTask(id=task_id, fn=run_group_task, payload=payload,
+                        cost=float(len(entries)), affinity=group_key,
+                        timeout=self.task_timeout)
 
-        tasks = []
-        task_entries: dict[str, list[_Entry]] = {}
-        for group_key, entries in groups.items():
-            with self._lock:
-                self._task_seq += 1
-                task_id = f"svc-{self._task_seq}"
-            payload = {
-                "group": group_key,
-                "source": entries[0].req.source_dict(),
-                "configs": [{"key": e.machine, "spec": e.req.machine}
-                            for e in entries],
-                "cache_dir": self._artifact_dir,
-            }
-            tasks.append(PoolTask(
-                id=task_id, fn=run_group_task, payload=payload,
-                cost=float(len(entries)), affinity=group_key,
-                timeout=self.task_timeout))
-            task_entries[task_id] = entries
-            self.metrics.counter("service.tasks_dispatched").inc()
-            self.metrics.counter("service.configs_dispatched").inc(
-                len(entries))
+    def _take(self, task_id: str) -> list[_Entry]:
+        with self._lock:
+            return self._running.pop(task_id, [])
+
+    def _on_result(self, result) -> None:
+        entries = self._take(result.task.id)
+        try:
+            self._resolve_task(result.value, entries)
+        except Exception as exc:  # noqa: BLE001 -- fail this task only
+            self._fail_entries(entries, "dispatch-failed",
+                               f"{type(exc).__name__}: {exc}")
+
+    def _resolve_task(self, value, entries: list[_Entry]) -> None:
+        value = value if isinstance(value, dict) else {}
+        if "fatal" in value:
+            self._record_incident(value["fatal"], entries)
+            outcome = {"status": "error", **value["fatal"]}
             for entry in entries:
-                for waiter in entry.waiters:
-                    self._emit(waiter, {"event": "dispatched",
-                                        "task": task_id,
-                                        "configs": len(entries)})
+                self._resolve(entry, dict(outcome))
+            return
+        per_config = value.get("results", {})
+        for entry in entries:
+            got = per_config.get(entry.machine)
+            if got is None:
+                self._resolve(entry, {
+                    "status": "error", "error": "missing-result",
+                    "detail": "worker returned no result for this "
+                              "machine config"})
+            elif "payload" in got:
+                self.responses.put_object(
+                    "response", entry.key, got["payload"])
+                self._resolve(entry, {
+                    "status": "ok", "payload": got["payload"],
+                    "cached": False, "request_key": entry.key})
+            else:
+                self._record_incident(got, [entry])
+                self._resolve(entry, {"status": "error", **got})
 
-        with self.pool.lease() as pool:
-            results = pool.run(tasks)
+    def _task_failed(self, task: PoolTask, error) -> None:
+        """A raising task fails its own entries; the run keeps serving."""
+        self._fail_entries(self._take(task.id), "task-failed",
+                           f"{type(error).__name__}: {error}")
 
-        for result in results:
-            entries = task_entries[result.task.id]
-            value = result.value if isinstance(result.value, dict) else {}
-            if "fatal" in value:
-                self._record_incident(value["fatal"], entries)
-                outcome = {"status": "error", **value["fatal"]}
-                for entry in entries:
-                    self._resolve(entry, dict(outcome))
-                continue
-            per_config = value.get("results", {})
-            for entry in entries:
-                got = per_config.get(entry.machine)
-                if got is None:
-                    self._resolve(entry, {
-                        "status": "error", "error": "missing-result",
-                        "detail": "worker returned no result for this "
-                                  "machine config"})
-                elif "payload" in got:
-                    self.responses.put_object(
-                        "response", entry.key, got["payload"])
-                    self._resolve(entry, {
-                        "status": "ok", "payload": got["payload"],
-                        "cached": False, "request_key": entry.key})
-                else:
-                    self._record_incident(got, [entry])
-                    self._resolve(entry, {"status": "error", **got})
+    def _fail_pending(self, exc: BaseException) -> None:
+        with self._lock:
+            running, self._running = self._running, {}
+        entries = self._feed.take_all()
+        entries += [entry for group in running.values() for entry in group]
+        self._fail_entries(entries, "dispatch-failed",
+                           f"{type(exc).__name__}: {exc}")
 
-    def _fail_batch(self, batch: list[_Entry], exc: BaseException) -> None:
-        detail = f"{type(exc).__name__}: {exc}"
-        self._record_incident({"error": "dispatch-failed",
-                               "detail": detail}, batch)
-        for entry in batch:
-            self._resolve(entry, {"status": "error",
-                                  "error": "dispatch-failed",
+    def _fail_entries(self, entries: list[_Entry], error: str,
+                      detail: str) -> None:
+        entries = [entry for entry in entries if not entry.resolved]
+        if not entries:
+            return
+        self._record_incident({"error": error, "detail": detail}, entries)
+        for entry in entries:
+            self._resolve(entry, {"status": "error", "error": error,
                                   "detail": detail})
 
     # ------------------------------------------------------------------
     # Resolution
     # ------------------------------------------------------------------
     def _resolve(self, entry: _Entry, outcome: dict) -> None:
-        with self._cond:
-            self._inflight_entries.pop(entry.key, None)
+        with self._lock:
+            if entry.resolved:
+                return
+            entry.resolved = True
+            if self._inflight_entries.get(entry.key) is entry:
+                del self._inflight_entries[entry.key]
         outcome = dict(outcome)
         outcome.setdefault("request_key", entry.key)
         outcome["coalesced_with"] = len(entry.waiters) - 1
@@ -331,9 +414,7 @@ class ServiceSession:
         """
         self.admission.start_draining()
         finished = self.admission.wait_idle(timeout)
-        with self._cond:
-            self._stop = True
-            self._cond.notify_all()
+        self._feed.close()
         self._dispatcher.join(timeout=10.0)
         # Flush incidents where an operator will find them: the final
         # metrics snapshot.
@@ -345,13 +426,15 @@ class ServiceSession:
 
     # ------------------------------------------------------------------
     def status(self) -> dict:
-        """The ``/healthz`` body."""
-        with self._cond:
-            queued = len(self._queue)
+        """The ``/healthz`` body.
+
+        ``queued`` counts the distinct computations no worker has
+        started yet -- those still in their batch window and those ready
+        but waiting for a busy worker alike."""
         return {
             "status": "draining" if self.admission.draining else "ok",
             "inflight": self.admission.inflight,
-            "queued": queued,
+            "queued": self._feed.queued(),
             "workers": self.pool.jobs,
             "incidents": len(self.incidents),
         }

@@ -19,11 +19,11 @@ engine bypasses or fails is replayed through the reference
 oracle lane, never to an error.
 
 Contract with the dispatcher: **this function never raises.**  A
-raising task is a :class:`~repro.parallel.TaskFailed` that aborts the
-whole ``pool.run`` batch, taking unrelated requests down with it; so
-every failure -- unknown workload, unparseable IR, a checker rejection
--- is folded into the returned dict, per-config where possible and as
-a group-level ``fatal`` record otherwise.
+raising task is a :class:`~repro.parallel.TaskFailed` that fails every
+config of its group with one opaque ``task-failed`` error; so every
+failure -- unknown workload, unparseable IR, a checker rejection -- is
+folded into the returned dict, per-config where possible and as a
+group-level ``fatal`` record otherwise.
 """
 
 from __future__ import annotations

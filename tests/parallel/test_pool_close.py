@@ -1,4 +1,4 @@
-"""Pool lifecycle hardening: idempotent close, warm(), shared leases.
+"""Pool lifecycle hardening: idempotent close, warm(), serialised runs.
 
 The service closes the pool from its SIGTERM drain path, which can
 race a normal close (or interrupt one mid-flight from a signal
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import threading
+import time
 
 import pytest
 
@@ -21,6 +22,11 @@ pytestmark = pytest.mark.parallel_smoke
 
 def square(payload):
     return {"pid": os.getpid(), "value": payload["x"] * payload["x"]}
+
+
+def nap(payload):
+    time.sleep(0.01)
+    return payload["x"]
 
 
 def _tasks(n):
@@ -109,47 +115,52 @@ class TestWarm:
             pool.warm()
 
 
-class TestLease:
-    def test_lease_serialises_concurrent_holders(self):
-        pool = WorkerPool(2)
+class TestRunSerialisation:
+    """Threads sharing one warm pool queue on its run lock: each run
+    gets exact scheduling and accounting because only one executes at a
+    time."""
+
+    @staticmethod
+    def _run_from_threads(pool, holders=3):
         order = []
         lock = threading.Lock()
 
         def holder(name):
-            with pool.lease() as leased:
+            def record(result):
                 with lock:
-                    order.append(("enter", name))
-                leased.run(_tasks(3))
-                with lock:
-                    order.append(("exit", name))
+                    order.append(name)
+            tasks = [PoolTask(f"{name}-{i}", nap, {"x": i})
+                     for i in range(3)]
+            results = pool.run(tasks, on_result=record)
+            assert [r.task.id for r in results] == [t.id for t in tasks]
 
-        threads = [threading.Thread(target=holder, args=(i,))
-                   for i in range(3)]
+        threads = [threading.Thread(target=holder, args=(f"h{i}",))
+                   for i in range(holders)]
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=60)
-        pool.close()
-        # Strict nesting: every enter is immediately followed by its
-        # own exit (no interleaving between lease holders).
-        assert len(order) == 6
-        for i in range(0, 6, 2):
-            assert order[i][0] == "enter"
-            assert order[i + 1] == ("exit", order[i][1])
+        return order
 
-    def test_lease_on_closed_pool_raises(self):
+    @staticmethod
+    def _assert_contiguous(order, holders=3):
+        # Strict serialisation: each run's results form one unbroken
+        # stretch (no interleaving between runs).
+        assert len(order) == 3 * holders
+        stretches = [name for i, name in enumerate(order)
+                     if i == 0 or order[i - 1] != name]
+        assert len(stretches) == holders == len(set(stretches))
+
+    def test_concurrent_runs_serialise(self):
+        with WorkerPool(2) as pool:
+            self._assert_contiguous(self._run_from_threads(pool))
+
+    def test_concurrent_serial_runs_serialise(self):
+        with WorkerPool(1) as pool:
+            self._assert_contiguous(self._run_from_threads(pool))
+
+    def test_run_on_closed_pool_raises(self):
         pool = WorkerPool(2)
         pool.close()
         with pytest.raises(RuntimeError):
-            with pool.lease():
-                pass
-
-    def test_lease_is_reentrant_for_its_holder(self):
-        pool = WorkerPool(1)
-        try:
-            with pool.lease() as outer:
-                with outer.lease() as inner:
-                    results = inner.run(_tasks(2))
-            assert [r.value["value"] for r in results] == [0, 1]
-        finally:
-            pool.close()
+            pool.run(_tasks(1))

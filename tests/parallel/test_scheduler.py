@@ -35,6 +35,16 @@ class TestAssignment:
         # 20 vs 2 beats 22 vs 0.
         assert sched.owner["h0"] != sched.owner["l0"]
 
+    def test_added_tasks_join_their_groups_home(self):
+        sched = StealScheduler([make("a0", affinity="a")], 2)
+        home = sched.owner["a0"]
+        sched.add([make("a1", affinity="a")], prefer=1 - home)
+        assert sched.owner["a1"] == home == sched.home("a")
+        # A new group goes where the caller prefers.
+        sched.add([make("b0", affinity="b")], prefer=1 - home)
+        assert sched.owner["b0"] == 1 - home
+        assert sched.home("c") is None and sched.home(None) is None
+
     def test_within_worker_order_is_descending_cost(self):
         tasks = [make(f"t{i}", cost=float(i), affinity="one")
                  for i in range(5)]

@@ -9,11 +9,14 @@ add up.
 from __future__ import annotations
 
 import json
+import os
 import threading
+import time
 
 import pytest
 
 from repro.harness.runner import run_experiment
+from repro.service import session as session_module
 from repro.service.admission import Draining
 from repro.service.protocol import (
     experiment_payload,
@@ -21,9 +24,52 @@ from repro.service.protocol import (
     parse_request,
 )
 from repro.service.session import ServiceSession
+from repro.service.worker import run_group_task
 from repro.workloads.registry import get_workload
 
 SCALE = 40
+#: Scales that select ``gated_group_task``'s special behaviours.
+GATED_SCALE = 41
+RAISING_SCALE = 42
+
+#: Where ``gated_group_task`` looks for its gate files.  Set before the
+#: session forks its pool, so pool workers inherit it.
+GATE = {"dir": None}
+
+
+def gated_group_task(payload):
+    """``run_group_task``, except that a group at ``GATED_SCALE`` waits
+    for a ``go`` file (after touching ``started``) and a group at
+    ``RAISING_SCALE`` raises."""
+    scale = payload["source"]["scale"]
+    if scale == RAISING_SCALE:
+        raise RuntimeError("injected task failure")
+    if scale == GATED_SCALE:
+        open(os.path.join(GATE["dir"], "started"), "w").close()
+        while not os.path.exists(os.path.join(GATE["dir"], "go")):
+            time.sleep(0.01)
+    return run_group_task(payload)
+
+
+@pytest.fixture
+def gated(monkeypatch, tmp_path):
+    """Patch the session's task function before a session forks its
+    pool; yields a callable opening the gate."""
+    monkeypatch.setitem(GATE, "dir", str(tmp_path))
+    monkeypatch.setattr(session_module, "run_group_task", gated_group_task)
+
+    def open_gate():
+        open(tmp_path / "go", "w").close()
+
+    yield open_gate
+    open_gate()  # never leave a worker blocked
+
+
+def _wait_for(path, timeout=120.0):
+    deadline = time.monotonic() + timeout
+    while not os.path.exists(path):
+        assert time.monotonic() < deadline, f"{path} never appeared"
+        time.sleep(0.01)
 
 
 @pytest.fixture
@@ -192,3 +238,64 @@ done:
     payload = outcome["payload"]
     assert payload["workload"] == "ir:loop"
     assert payload["baseline"]["cycles"] > 0
+
+
+def test_fast_group_is_not_held_behind_a_slow_one(gated):
+    """Head-of-line: with two workers, group B resolves while group A
+    is still running on the other worker."""
+    sess = ServiceSession(jobs=2, batch_window=0.02)
+    try:
+        slow = sess.submit(_request(scale=GATED_SCALE))
+        fast = sess.submit(_request(scale=SCALE))
+        assert fast.result(timeout=120)["status"] == "ok"
+        assert not slow.done(), "the slow group must still be gated"
+        gated()
+        assert slow.result(timeout=120)["status"] == "ok"
+    finally:
+        gated()
+        sess.drain(timeout=60)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_raising_task_fails_only_its_own_requests(gated, jobs):
+    sess = ServiceSession(jobs=jobs, batch_window=0.02)
+    try:
+        futures = [sess.submit(_request(scale=scale))
+                   for scale in (SCALE, RAISING_SCALE, SCALE + 3)]
+        first, bad, last = [f.result(timeout=120) for f in futures]
+        assert first["status"] == "ok"
+        assert last["status"] == "ok"
+        assert bad["status"] == "error"
+        assert bad["error"] == "task-failed"
+        assert "injected task failure" in bad["detail"]
+        assert [i["requests"] for i in sess.incidents] == \
+            [[bad["request_key"]]]
+        assert sess.metrics.snapshot()["service.task_errors"] == 1
+        # The run is still serving.
+        assert sess.submit(_request(comm_latency=3)).result(
+            timeout=120)["status"] == "ok"
+    finally:
+        sess.drain(timeout=60)
+
+
+def test_healthz_queued_counts_work_waiting_for_a_busy_worker(
+        gated, tmp_path):
+    """Requests submitted together but not started by the single
+    (busy) worker count as ``queued``."""
+    sess = ServiceSession(jobs=1, batch_window=0.25)
+    try:
+        slow = sess.submit(_request(scale=GATED_SCALE))
+        waiting = [sess.submit(_request(scale=SCALE)),
+                   sess.submit(_request(scale=SCALE, comm_latency=5)),
+                   sess.submit(_request(scale=SCALE + 3))]
+        _wait_for(tmp_path / "started")
+        assert sess.status()["queued"] == 3
+        gated()
+        outcomes = [f.result(timeout=120) for f in [slow] + waiting]
+        assert all(o["status"] == "ok" for o in outcomes)
+        assert sess.status()["queued"] == 0
+        # The two configs of one source that queued together rode one
+        # task: the gated task plus two.
+        assert sess.metrics.snapshot()["service.tasks_dispatched"] == 3
+    finally:
+        sess.drain(timeout=60)
