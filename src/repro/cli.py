@@ -372,7 +372,7 @@ def _print_incr_table(report: dict) -> None:
     stages = incr.get("stages") or {}
     if not stages:
         return
-    order = ("interpret", "transform", "simulate", "figure")
+    order = ("build", "interpret", "transform", "simulate", "figure")
     rows = []
     for kind in order + tuple(k for k in sorted(stages) if k not in order):
         row = stages.get(kind)

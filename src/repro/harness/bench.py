@@ -10,9 +10,10 @@ them:
   (:mod:`repro.interp.reference`, the preserved original interpreter),
   transforms, executes the thread pipeline and simulates, serially.
 * **optimized** -- every sweep point becomes one task on the parallel
-  execution fabric (:mod:`repro.parallel`): a warm worker pool whose
-  per-process arena keeps each workload's built case and open
-  :class:`~repro.harness.cache.ExperimentCache` handle alive across
+  execution fabric (:mod:`repro.parallel`): a warm worker pool that
+  runs on the cases the driver built (each at most once per sweep) and
+  whose per-process arena keeps an open
+  :class:`~repro.incr.store.ArtifactStore` handle alive across
   points, a cost-aware work-stealing scheduler that places each
   workload's points on the worker already warm for it (cost estimates
   fitted from prior ``BENCH_*.json`` timings), and shared-memory result
@@ -36,6 +37,7 @@ hide behind a fast wall-clock.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import multiprocessing
@@ -271,24 +273,44 @@ def _induced_crash(name: str) -> None:
     os._exit(13)
 
 
-def _bench_arena(spec: dict, cache_dir: Optional[str]):
-    """The worker-resident ``(case, store)`` pair for one sweep point.
+#: The driver's built cases, keyed ``(workload, scale)``, while one of
+#: its pool runs is in flight (:func:`_handing_over`).  Workers fork
+#: inside the run and inherit the mapping -- a case closes over its
+#: oracle and cannot be pickled into a task payload -- and the
+#: in-driver lanes (serial runs, fallbacks, the parity re-run) read the
+#: same objects, so no pool lane builds a case of its own.
+_handed_over: dict = {}
 
-    The arena keeps each ``(workload, scale)``'s built case and one
-    :class:`~repro.incr.store.ArtifactStore` handle per store directory
-    alive across points, so workloads are built at most once per worker
-    and the store's in-memory layer persists between tasks.
+
+@contextlib.contextmanager
+def _handing_over(cases: dict):
+    """Make ``cases`` the ones every task of the enclosed pool runs use."""
+    global _handed_over
+    saved, _handed_over = _handed_over, cases
+    try:
+        yield
+    finally:
+        _handed_over = saved
+
+
+def _bench_arena(spec: dict, cache_dir: Optional[str]):
+    """The ``(case, store)`` pair for one sweep point.
+
+    The case is the driver's (:func:`_handing_over`); the worker arena
+    keeps one :class:`~repro.incr.store.ArtifactStore` handle per store
+    directory alive across points, so the store's in-memory layer
+    persists between tasks.
     """
+    case = _handed_over.get((spec["workload"], spec["scale"]))
+    if case is None:
+        raise RuntimeError(
+            f"no case handed over for {spec['workload']} at scale "
+            f"{spec['scale']}: the driver builds every case a task runs")
     arena = worker_arena()
     store_key = ("bench-store", cache_dir)
     store = arena.get(store_key)
     if store is None:
         store = arena[store_key] = ArtifactStore(persist_dir=cache_dir)
-    case_key = ("bench-case", spec["workload"], spec["scale"])
-    case = arena.get(case_key)
-    if case is None:
-        case = arena[case_key] = get_workload(
-            spec["workload"]).build(scale=spec["scale"])
     return case, store
 
 
@@ -445,6 +467,7 @@ def _batch_task(payload: dict) -> dict:
 def run_optimized(
     points: list[dict],
     jobs: int,
+    cases: dict,
     cache_dir: Optional[str] = None,
     cost_dir: str = ".",
     registry=None,
@@ -461,7 +484,9 @@ def run_optimized(
     :class:`~repro.parallel.CostModel` fitted from prior
     ``BENCH_*.json`` reports in ``cost_dir`` (cold heuristic
     otherwise).  ``jobs <= 1`` -- or a platform that cannot fork --
-    runs the same tasks serially in-process.
+    runs the same tasks serially in-process.  ``cases`` maps
+    ``(workload, scale)`` to the driver's built case for every point;
+    every lane runs on those (:func:`_handing_over`).
 
     A point whose worker crashes is retried on a fresh worker; a point
     that crashes its worker twice is re-run in the driver process (the
@@ -569,7 +594,8 @@ def run_optimized(
                                  timed_out=result.timed_out)
 
     jobs = max(1, min(jobs, len(tasks))) if tasks else 1
-    with WorkerPool(jobs, metrics=registry, chaos=chaos) as pool:
+    with _handing_over(cases), \
+            WorkerPool(jobs, metrics=registry, chaos=chaos) as pool:
         results = pool.run(
             tasks, on_result=_journal_result if journal is not None else None)
         jobs_used = pool.jobs
@@ -675,7 +701,7 @@ def verification_sample(points: list[dict], scale: int) -> list[dict]:
 
 
 def _check_parallel_identical(specs: list[dict], optimized: list[dict],
-                              jobs_used: int) -> Optional[bool]:
+                              jobs_used: int, case_of) -> Optional[bool]:
     """Bit-compare the pool's results against a serial in-driver re-run.
 
     The re-run uses a fresh in-memory cache (no disk layer), so it is a
@@ -691,7 +717,11 @@ def _check_parallel_identical(specs: list[dict], optimized: list[dict],
     wanted = {spec["id"] for spec in specs}
     by_id = {p["id"]: {k: v for k, v in p.items() if k != "degraded"}
              for p in optimized if p["id"] in wanted}
-    with WorkerPool(1) as pool:
+    # The driver's cases (``case_of`` is the plan's builder): the pool's
+    # own, plus any workload the store served whole, built here.
+    cases = {(spec["workload"], spec["scale"]):
+             case_of(spec["workload"], spec["scale"]) for spec in specs}
+    with _handing_over(cases), WorkerPool(1) as pool:
         rerun = pool.run([
             PoolTask(id=spec["id"], fn=_point_task,
                      payload={"spec": spec, "cache_dir": None})
@@ -783,7 +813,7 @@ def run_bench(
     pending = [spec for spec in plan.pending if spec["id"] not in reused]
 
     t0 = time.perf_counter()
-    optimized = run_optimized(pending, jobs, cache_dir=cache_dir,
+    optimized = run_optimized(pending, jobs, plan.cases, cache_dir=cache_dir,
                               cost_dir=out_dir, registry=registry,
                               batch=batch, chaos=chaos,
                               task_timeout=task_timeout, journal=journal)
@@ -973,7 +1003,7 @@ def run_bench(
                       if p["id"] in verified_ids]
         report["functional_identical"] = naive_results == comparable
         report["parallel_identical"] = _check_parallel_identical(
-            verified, optimized["points"], jobs_used)
+            verified, optimized["points"], jobs_used, plan.case)
     else:
         report["parallel_identical"] = None
 
@@ -1053,7 +1083,8 @@ def format_report(report: dict) -> str:
             f"  incr:      {incr.get('scheduled_total', 0)} stage(s) "
             f"scheduled ({incr.get('compute_scheduled', 0)} compute), "
             f"{len(incr.get('served_points', ()))} point(s) served from "
-            f"store [{stage_text}]"
+            f"store, plan {incr.get('plan_seconds', 0.0):.3f}s "
+            f"[{stage_text}]"
         )
     resume = report.get("resume") or {}
     if resume.get("enabled"):

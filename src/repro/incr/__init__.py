@@ -1,6 +1,6 @@
 """Content-addressed incremental experiment DAG.
 
-The pipeline behind every figure point -- interpret, transform,
+The pipeline behind every figure point -- build, interpret, transform,
 simulate, aggregate -- is modelled as a stage graph whose nodes are
 keyed by content hashes of their code version, upstream artefact
 digests and parameters (:mod:`repro.incr.dag`), whose outputs live in
@@ -16,6 +16,7 @@ invalidation rules, and :mod:`repro.incr.gc` for the store collector.
 from repro.incr.dag import (
     COMPUTE_STAGES,
     STAGES,
+    build_key,
     code_fingerprint,
     figure_key,
     interpret_key,
@@ -27,6 +28,7 @@ from repro.incr.dag import (
 from repro.incr.plan import FigurePlan, build_figure_plan, finalize_figure
 from repro.incr.stages import (
     StageOutcome,
+    build_stage,
     interpret_stage,
     load_point_summary,
     store_point_summary,
@@ -41,6 +43,8 @@ __all__ = [
     "STAGES",
     "StageOutcome",
     "build_figure_plan",
+    "build_key",
+    "build_stage",
     "code_fingerprint",
     "figure_key",
     "finalize_figure",

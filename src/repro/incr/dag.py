@@ -1,9 +1,10 @@
 """The experiment stage graph and its content-addressed keys.
 
-The pipeline every figure point runs is a fixed four-stage chain::
+The pipeline every figure point runs is a fixed five-stage chain::
 
-    interpret --(baseline trace+profile)--> transform --(thread traces)
-              --> simulate --(point summary)--> figure
+    build --(case fingerprint)--> interpret --(baseline trace+profile)
+          --> transform --(thread traces)--> simulate --(point summary)
+          --> figure
 
 Each stage's *key* is a content hash of everything that can change its
 output, and nothing else:
@@ -17,13 +18,19 @@ output, and nothing else:
   artefacts the stage consumes (trace content, profile counts), not
   serialisation bytes, so a re-run upstream stage that reproduces
   identical output leaves the downstream key unchanged (early cutoff);
-* the **parameters** -- case fingerprint, partition/alias/threads
-  knobs, canonical machine spec.
+* the **parameters** -- workload recipe (name, scale, seed), case
+  fingerprint, partition/alias/threads knobs, canonical machine spec.
 
-Workload *content* enters only through the case fingerprint: editing
-one workload's body invalidates exactly that workload's subtree, and
-editing the workload *package* invalidates nothing (the registry is
-deliberately outside every stage's code fingerprint).
+Workload *content* enters the compute stages only through the case
+fingerprint, which the ``build`` stage records in its receipt.  The
+build key is the recipe plus the code that executes it (the workload
+package, the IR and interpreter packages it constructs cases from, and
+the fingerprint module that hashes them), so a warm planner learns
+every case fingerprint from receipts without constructing a case.
+Editing the workload package reruns every build; early cutoff then
+invalidates exactly the workloads whose case fingerprint changed, and
+editing one workload's body invalidates exactly that workload's
+subtree.
 
 All hashing goes through :mod:`repro.machine.fingerprint` -- the same
 canonical hasher the experiment cache, the batched simulator and the
@@ -40,22 +47,27 @@ from typing import Optional
 
 from repro.machine.fingerprint import content_digest
 
-#: Stage kinds, in pipeline order.  ``figure`` is the driver-side
-#: aggregation stage; the first three are the compute stages workers
-#: execute.
+#: Stage kinds, in pipeline order.  ``build`` and ``figure`` are the
+#: driver-side stages (case construction, aggregation); the middle
+#: three are the compute stages workers execute.
+STAGE_BUILD = "build"
 STAGE_INTERPRET = "interpret"
 STAGE_TRANSFORM = "transform"
 STAGE_SIMULATE = "simulate"
 STAGE_FIGURE = "figure"
-STAGES = (STAGE_INTERPRET, STAGE_TRANSFORM, STAGE_SIMULATE, STAGE_FIGURE)
+STAGES = (STAGE_BUILD, STAGE_INTERPRET, STAGE_TRANSFORM, STAGE_SIMULATE,
+          STAGE_FIGURE)
 COMPUTE_STAGES = (STAGE_INTERPRET, STAGE_TRANSFORM, STAGE_SIMULATE)
 
-#: The packages whose source text versions each stage.  ``repro.ir``
-#: and ``repro.interp`` feed interpret; the transform adds the
-#: analyses and the partitioner; simulate is the timing model alone.
-#: ``repro.workloads`` appears nowhere: workload content is keyed by
-#: the case fingerprint, per workload.
+#: The packages (or single modules) whose source text versions each
+#: stage.  The build runs the workload package over the IR builder and
+#: the interpreter's memory model, then hashes the case with the
+#: fingerprint module.  ``repro.ir`` and ``repro.interp`` feed
+#: interpret; the transform adds the analyses and the partitioner;
+#: simulate is the timing model alone.
 STAGE_PACKAGES = {
+    STAGE_BUILD: ("repro.workloads", "repro.ir", "repro.interp",
+                  "repro.machine.fingerprint"),
     STAGE_INTERPRET: ("repro.ir", "repro.interp"),
     STAGE_TRANSFORM: ("repro.ir", "repro.interp", "repro.analysis",
                       "repro.core"),
@@ -76,7 +88,8 @@ _code_fp_memo: dict[str, str] = {}
 
 
 def code_fingerprint(package: str) -> str:
-    """sha256 over a package's ``.py`` source files, path-relative.
+    """sha256 over a package's ``.py`` source files, path-relative (a
+    plain module hashes its one file).
 
     Memoised per process -- source files do not change under a running
     driver, and a sweep computes thousands of stage keys.  Files are
@@ -88,21 +101,22 @@ def code_fingerprint(package: str) -> str:
     if cached is not None:
         return cached
     spec = importlib.util.find_spec(package)
-    if spec is None or not spec.submodule_search_locations:
+    if spec is None or not (spec.submodule_search_locations or spec.origin):
         raise ValueError(f"cannot locate package {package!r}")
+    if spec.submodule_search_locations:
+        files = [(os.path.relpath(os.path.join(dirpath, name), root),
+                  os.path.join(dirpath, name))
+                 for root in sorted(spec.submodule_search_locations)
+                 for dirpath, _, filenames in sorted(os.walk(root))
+                 for name in sorted(filenames) if name.endswith(".py")]
+    else:
+        files = [(os.path.basename(spec.origin), spec.origin)]
     h = hashlib.sha256()
-    for root in sorted(spec.submodule_search_locations):
-        for dirpath, dirnames, filenames in sorted(os.walk(root)):
-            dirnames.sort()
-            for name in sorted(filenames):
-                if not name.endswith(".py"):
-                    continue
-                path = os.path.join(dirpath, name)
-                rel = os.path.relpath(path, root)
-                h.update(rel.encode() + b"\0")
-                with open(path, "rb") as fh:
-                    h.update(fh.read())
-                h.update(b"\0")
+    for rel, path in files:
+        h.update(rel.encode() + b"\0")
+        with open(path, "rb") as fh:
+            h.update(fh.read())
+        h.update(b"\0")
     digest = h.hexdigest()
     _code_fp_memo[package] = digest
     return digest
@@ -143,6 +157,13 @@ def pipeline_version() -> str:
 def _stage_key(kind: str, payload: dict) -> str:
     return content_digest({"stage": kind, "version": stage_version(kind),
                            **payload})
+
+
+def build_key(workload: str, scale: int, seed: int) -> str:
+    """Construction of one workload case from its recipe.  The receipt
+    records the case fingerprint every downstream key consumes."""
+    return _stage_key(STAGE_BUILD, {"workload": workload, "scale": scale,
+                                    "seed": seed})
 
 
 def interpret_key(case_fp: str, check: bool = True) -> str:

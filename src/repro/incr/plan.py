@@ -3,6 +3,9 @@
 :func:`build_figure_plan` walks one figure sweep's requested points
 against the artifact store *before* any worker is spawned:
 
+* per workload (x scale) it reads the build stage's receipt for the
+  case fingerprint, and builds the case only when that receipt is
+  missing or invalid -- a warm plan constructs no case at all;
 * per functional group (workload x scale x kind) it derives the
   interpret / transform stage keys and checks their receipts and
   artifacts exist (existence probes -- large trace artifacts are never
@@ -12,7 +15,9 @@ against the artifact store *before* any worker is spawned:
 * points whose whole chain is proven valid are **served** from the
   store; everything else stays **pending** and becomes pool tasks --
   whole groups in batched mode (a batch re-simulates together), single
-  points otherwise.
+  points otherwise.  The plan builds the case of every workload with a
+  pending point, once, in the driver (:meth:`FigurePlan.case`): the
+  pool's workers take those cases instead of building their own.
 
 Stage accounting (``incr.stage.{hit,miss,scheduled}``):
 
@@ -24,7 +29,9 @@ Stage accounting (``incr.stage.{hit,miss,scheduled}``):
 * **scheduled** -- the stage will execute compute.  Every miss is
   scheduled; additionally, a valid simulate inside a scheduled batch
   group re-runs with its group (the differential campaign needs every
-  config), so it counts as scheduled without being a miss.
+  config), so it counts as scheduled without being a miss, and a
+  valid build whose case a scheduled stage consumes is scheduled the
+  same way.
 
 Stages are deduplicated by key across points and groups (the base and
 dswp flavours of one workload share one interpret stage; it is
@@ -43,6 +50,7 @@ import time
 from typing import Optional
 
 from repro.incr import dag, stages
+from repro.workloads.base import WorkloadCase
 
 _plan_seq = 0
 
@@ -82,7 +90,12 @@ class FigurePlan:
         self.plan_seconds = 0.0
         self._store = None
         self._pinned = False
-        self._case_cache: dict = {}
+        #: ``(workload, scale)`` -> built case (only cases a scheduled
+        #: stage or the parity re-run consumes).
+        self.cases: dict[tuple, WorkloadCase] = {}
+        #: ``(workload, scale)`` -> case fingerprint and build stage key.
+        self.case_fps: dict[tuple, str] = {}
+        self._build_keys: dict[tuple, str] = {}
 
     # ------------------------------------------------------------------
     def _mark(self, key, kind: str, hit: bool, miss: bool,
@@ -93,6 +106,33 @@ class FigurePlan:
         else:
             prev[3] = prev[3] or scheduled
             prev[1] = prev[1] and hit
+
+    def case_fp(self, workload: str, scale: int) -> str:
+        """One workload's case fingerprint: from its build receipt when
+        valid, else from a fresh build."""
+        key = (workload, scale)
+        if key not in self.case_fps:
+            bkey, cfp = stages.load_case_fp(self._store, workload, scale)
+            if cfp is None:
+                self.case(workload, scale)
+            else:
+                self.case_fps[key] = cfp
+                self._build_keys[key] = bkey
+                self._mark(bkey, dag.STAGE_BUILD, True, False, False)
+        return self.case_fps[key]
+
+    def case(self, workload: str, scale: int) -> WorkloadCase:
+        """One workload's built case, built at most once per plan (the
+        build stage rewrites its receipt each time it runs)."""
+        key = (workload, scale)
+        case = self.cases.get(key)
+        if case is None:
+            outcome = stages.build_stage(self._store, workload, scale)
+            case = self.cases[key] = outcome.value
+            self.case_fps[key] = outcome.outputs["case"]
+            self._build_keys[key] = outcome.key
+            self._mark(outcome.key, dag.STAGE_BUILD, False, True, True)
+        return case
 
     def counts(self) -> dict[str, dict[str, int]]:
         out = {kind: {"hit": 0, "miss": 0, "scheduled": 0}
@@ -111,7 +151,7 @@ class FigurePlan:
 
     def compute_scheduled(self) -> int:
         return sum(1 for kind, _, _, s in self._status.values()
-                   if s and kind != dag.STAGE_FIGURE)
+                   if s and kind in dag.COMPUTE_STAGES)
 
     def report(self) -> dict:
         """The ``incr`` block of ``BENCH_<figure>.json``."""
@@ -144,8 +184,6 @@ class FigurePlan:
 def build_figure_plan(store, figure: str, scale: int, points: list[dict],
                       batch: bool = True, check: bool = True) -> FigurePlan:
     """Prove which of ``points`` the store can serve; see module doc."""
-    from repro.workloads import get_workload
-
     t0 = time.perf_counter()
     plan = FigurePlan(figure, scale, batch, check)
     plan._store = store
@@ -161,11 +199,7 @@ def build_figure_plan(store, figure: str, scale: int, points: list[dict],
             (spec["workload"], spec["scale"], spec["kind"]), []).append(spec)
 
     for (workload, wscale, kind), group in groups.items():
-        case = plan._case_cache.get((workload, wscale))
-        if case is None:
-            case = get_workload(workload).build(scale=wscale)
-            plan._case_cache[(workload, wscale)] = case
-        cfp = stages.case_fp(case)
+        cfp = plan.case_fp(workload, wscale)
 
         ikey = dag.interpret_key(cfp, check)
         irec = store.get_receipt(ikey)
@@ -264,6 +298,11 @@ def build_figure_plan(store, figure: str, scale: int, points: list[dict],
         plan._mark(("pending", dag.STAGE_FIGURE, figure, scale),
                    dag.STAGE_FIGURE, False, True, True)
 
+    # Every pending point runs on a case the driver built.
+    for spec in plan.pending:
+        plan.case(spec["workload"], spec["scale"])
+    pin_receipts.extend(plan._build_keys.values())
+
     if store.pin(plan.plan_id, pin_receipts, pin_artifacts) is not None:
         plan._pinned = True
     plan.plan_seconds = time.perf_counter() - t0
@@ -312,13 +351,7 @@ def _rederive_simulate_key(plan: FigurePlan, store,
                            spec: dict) -> Optional[str]:
     """Walk the now-written receipts to recover one point's simulate
     key; ``None`` when the chain is still incomplete."""
-    case = plan._case_cache.get((spec["workload"], spec["scale"]))
-    if case is None:
-        from repro.workloads import get_workload
-
-        case = get_workload(spec["workload"]).build(scale=spec["scale"])
-        plan._case_cache[(spec["workload"], spec["scale"])] = case
-    cfp = stages.case_fp(case)
+    cfp = plan.case_fp(spec["workload"], spec["scale"])
     irec = store.get_receipt(dag.interpret_key(cfp, plan.check))
     if irec is None:
         return None

@@ -38,6 +38,11 @@ from repro.harness.runner import BaselineRun, DSWPRun, run_baseline, run_dswp
 from repro.incr import dag
 from repro.machine.fingerprint import case_fingerprint, content_digest, \
     memory_digest, trace_digest
+from repro.workloads import get_workload
+
+#: The seed every sweep builds its cases with (``Workload.build``'s
+#: default), part of each build stage's recipe.
+BUILD_SEED = 7
 
 
 class StageOutcome:
@@ -107,6 +112,38 @@ def _baseline_content(run: BaselineRun) -> str:
             run.memory.snapshot() if run.memory is not None else {}),
         "regs": sorted((str(reg), value) for reg, value in run.regs.items()),
     })
+
+
+# ----------------------------------------------------------------------
+# build
+# ----------------------------------------------------------------------
+
+def build_stage(store, workload: str, scale: int,
+                seed: int = BUILD_SEED) -> StageOutcome:
+    """Construct one registered workload's case and record its
+    fingerprint.
+
+    Always runs: the case itself is never stored (its oracle and call
+    handlers are closures, and building costs less than decoding would),
+    so the receipt carries only the case fingerprint -- all a planner
+    needs while every downstream stage of the case is valid."""
+    t0 = time.perf_counter()
+    key = dag.build_key(workload, scale, seed)
+    case = get_workload(workload).build(scale=scale, seed=seed)
+    outputs = {"case": case_fp(case)}
+    store.put_receipt(key, outputs, meta={"workload": workload,
+                                          "scale": scale, "seed": seed})
+    return StageOutcome(case, key, outputs, False, time.perf_counter() - t0)
+
+
+def load_case_fp(store, workload: str, scale: int,
+                 seed: int = BUILD_SEED) -> tuple[str, Optional[str]]:
+    """Look up a build stage's recorded case fingerprint.  Returns
+    ``(stage_key, case_fp | None)``; a malformed receipt is a miss."""
+    key = dag.build_key(workload, scale, seed)
+    receipt = store.get_receipt(key)
+    cfp = receipt["outputs"].get("case") if receipt is not None else None
+    return key, cfp if isinstance(cfp, str) else None
 
 
 # ----------------------------------------------------------------------

@@ -140,15 +140,16 @@ class ArtifactStore:
         pin_dir = self._pin_dir()
         if pin_dir is None:
             return None
+        # Entries sit exactly one shard directory below the store root,
+        # so the store-relative path is the last two components (what
+        # ``gc`` walks to; ``os.path.relpath`` per entry costs a warm
+        # plan more than its receipt reads).
         paths = []
-        for key in receipts:
-            path = self._entry_path(RECEIPT_KIND, key)
-            if path is not None:
-                paths.append(os.path.relpath(path, self.persist_dir))
-        for digest in artifacts:
-            path = self._entry_path(ARTIFACT_KIND, digest)
-            if path is not None:
-                paths.append(os.path.relpath(path, self.persist_dir))
+        for kind, keys in ((RECEIPT_KIND, receipts),
+                           (ARTIFACT_KIND, artifacts)):
+            for key in keys:
+                shard_dir, name = os.path.split(self._entry_path(kind, key))
+                paths.append(os.path.join(os.path.basename(shard_dir), name))
         os.makedirs(pin_dir, exist_ok=True)
         pin_path = os.path.join(pin_dir, f"{plan_id}.json")
         tmp = f"{pin_path}.tmp.{os.getpid()}"

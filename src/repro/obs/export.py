@@ -366,11 +366,25 @@ def machine_config_digest(machine) -> str:
     return hashlib.sha256(repr(machine).encode()).hexdigest()[:16]
 
 
+_commit_memo: dict = {}
+
+
 def git_commit(repo_dir: Optional[str] = None) -> Optional[str]:
-    """The current git commit hash, or ``None`` outside a checkout."""
+    """The current git commit hash, or ``None`` outside a checkout.
+
+    Resolved once per process and checkout: the code a process runs was
+    loaded from the commit it first saw, and every sweep of a
+    ``--figure all`` run (or a test session) would otherwise spawn
+    ``git`` again for the same answer."""
     if repo_dir is None:
         repo_dir = os.path.dirname(os.path.dirname(os.path.dirname(
             os.path.dirname(os.path.abspath(__file__)))))
+    if repo_dir not in _commit_memo:
+        _commit_memo[repo_dir] = _read_git_commit(repo_dir)
+    return _commit_memo[repo_dir]
+
+
+def _read_git_commit(repo_dir: str) -> Optional[str]:
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"], cwd=repo_dir,

@@ -139,13 +139,19 @@ def request_key(req: ExperimentRequest) -> str:
     pipeline's code-version fingerprint (:func:`repro.incr.dag.
     pipeline_version`), so a persisted response cache can never serve a
     payload computed by an older pipeline -- a code change rolls the
-    key exactly the way it invalidates bench stage receipts.
+    key exactly the way it invalidates bench stage receipts.  A
+    registered-workload request names its case by recipe only, so its
+    key also digests the build stage's version (the workload package
+    included); raw IR carries its whole case in the source.
     """
-    from repro.incr.dag import pipeline_version
+    from repro.incr.dag import STAGE_BUILD, pipeline_version, stage_version
 
+    version = pipeline_version()
+    if req.kind == "workload":
+        version = [version, stage_version(STAGE_BUILD)]
     return content_digest({
         "stage": "serve",
-        "version": pipeline_version(),
+        "version": version,
         "source": req.source_dict(),
         "machine": req.machine,
     })

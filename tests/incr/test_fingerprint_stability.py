@@ -41,6 +41,7 @@ print(json.dumps({
     "memory": memory_digest(case.memory.snapshot()),
     "trace": trace_digest(run.trace),
     "content": content_digest({"a": [1, 2], "b": {"x": 0}}),
+    "build": dag.build_key("wc", 20, 7),
     "interpret": dag.interpret_key(cfp, True),
     "transform": dag.transform_key(cfp, "upstream-content", check=True),
     "simulate": skey,

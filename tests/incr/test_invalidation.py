@@ -9,7 +9,10 @@ the planner may reschedule (:mod:`repro.incr.plan`):
   workloads' whole chains still serve from the store;
 * a torn write behind a receipt is a **miss, never decoded** -- the
   planner degrades that one stage to a recompute and counts the
-  corruption.
+  corruption;
+* a build-layer edit reruns **every build and nothing else** -- the
+  rebuilt cases fingerprint identically, so early cutoff keeps every
+  downstream stage valid.
 
 The store is warmed once per module by a real ``run_bench`` sweep (the
 same path production warms it through), then each scenario replans
@@ -18,12 +21,15 @@ against it without running further compute.
 
 from __future__ import annotations
 
+import json
+import os
 import shutil
 
 import pytest
 
 from repro.harness.bench import run_bench, sweep_points
 from repro.incr import dag, stages
+from repro.incr.gc import collect
 from repro.incr.plan import build_figure_plan
 from repro.incr.store import ARTIFACT_KIND, RECEIPT_KIND, ArtifactStore
 from repro.workloads import get_workload
@@ -169,3 +175,73 @@ def test_torn_artifact_degrades_to_recompute_at_the_stage(warm_store_dir,
     assert outcome.value.trace is not None
     # The recompute healed the store: the same stage now hits again.
     assert stages.interpret_stage(fresh, case).hit
+
+
+def test_build_layer_edit_reruns_every_build_and_nothing_else(
+        warm_store_dir, tmp_path, monkeypatch):
+    # An edit under repro.workloads / ir / interp rolls every build key.
+    # The rebuilt cases fingerprint exactly as before, so no interpret,
+    # transform or simulate stage reruns and the sweep serves whole.
+    store_dir = str(tmp_path / "build-edit")
+    shutil.copytree(warm_store_dir, store_dir)
+    monkeypatch.setitem(dag._VERSION_SALTS, dag.STAGE_BUILD, "edited")
+    report = run_bench(FIGURE, scale=SCALE, jobs=2,
+                       out_dir=str(tmp_path / "out"), cache_dir=store_dir,
+                       compare=False)
+    workloads = {spec["workload"] for spec in sweep_points(FIGURE, SCALE)}
+    counts = report["incr"]["stages"]
+    assert counts["build"] == {"hit": 0, "miss": len(workloads),
+                               "scheduled": len(workloads)}
+    for kind in dag.COMPUTE_STAGES:
+        assert counts[kind]["scheduled"] == 0, kind
+    assert report["incr"]["compute_scheduled"] == 0
+    assert report["num_tasks"] == 0
+    with open(os.path.join(os.path.dirname(warm_store_dir),
+                           f"BENCH_{FIGURE}.json"), encoding="utf-8") as fh:
+        cold = json.load(fh)
+    assert report["points"] == cold["points"]
+
+
+def test_torn_build_receipt_rebuilds_only_that_workload(warm_store_dir,
+                                                        tmp_path):
+    store_dir = str(tmp_path / "torn-build")
+    shutil.copytree(warm_store_dir, store_dir)
+    store = ArtifactStore(persist_dir=store_dir)
+    bkey = dag.build_key("compress", SCALE, stages.BUILD_SEED)
+    with open(store._entry_path(RECEIPT_KIND, bkey), "wb") as fh:
+        fh.write(b"\x80\x04torn-mid-write")
+
+    fresh = ArtifactStore(persist_dir=store_dir)
+    before = fresh.stats().get("corrupt_evictions", 0)
+    plan = build_figure_plan(fresh, FIGURE, SCALE,
+                             sweep_points(FIGURE, SCALE))
+    plan.release()
+    assert fresh.stats().get("corrupt_evictions", 0) == before + 1
+    # Only the torn workload was built; its rebuilt case fingerprints
+    # as before, so the whole sweep still serves from the store.
+    assert set(plan.cases) == {("compress", SCALE)}
+    hit, miss, scheduled = _stage_counts(plan, dag.STAGE_BUILD)
+    assert (miss, scheduled) == (1, 1) and hit == len(plan.case_fps) - 1
+    assert plan.pending == [] and plan.compute_scheduled() == 0
+    # The rebuild rewrote the receipt: the next plan builds nothing.
+    assert _plan(store_dir).cases == {}
+
+
+def test_plan_pins_its_build_receipts_against_gc(warm_store_dir, tmp_path):
+    store_dir = str(tmp_path / "pinned")
+    shutil.copytree(warm_store_dir, store_dir)
+    plan = build_figure_plan(ArtifactStore(persist_dir=store_dir), FIGURE,
+                             SCALE, sweep_points(FIGURE, SCALE))
+    store = ArtifactStore(persist_dir=store_dir)
+    receipts = [store._entry_path(RECEIPT_KIND, key)
+                for key in plan._build_keys.values()]
+    assert receipts and all(os.path.exists(path) for path in receipts)
+    try:
+        # A gc pass with a zero budget mid-sweep keeps every pinned
+        # entry, the build receipts among them.
+        collect(store_dir, max_bytes=0)
+        assert all(os.path.exists(path) for path in receipts)
+    finally:
+        plan.release()
+    collect(store_dir, max_bytes=0)
+    assert not any(os.path.exists(path) for path in receipts)

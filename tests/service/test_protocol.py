@@ -58,6 +58,20 @@ def test_functional_key_ignores_machine_but_not_scale():
     assert functional_key(base) != functional_key(other_scale)
 
 
+def test_build_edit_rolls_workload_keys_only(monkeypatch):
+    # A registered workload's request names its case by recipe, so an
+    # edit under the workload package must roll its key; raw IR carries
+    # its whole case in the request and keeps its key.
+    from repro.incr import dag
+
+    workload = parse_request({"workload": "wc"})
+    ir = parse_request({"ir": IR_TEXT, "loop_header": "loop"})
+    before = request_key(workload), request_key(ir)
+    monkeypatch.setitem(dag._VERSION_SALTS, dag.STAGE_BUILD, "edited")
+    assert request_key(workload) != before[0]
+    assert request_key(ir) == before[1]
+
+
 @pytest.mark.parametrize("body,fragment", [
     ("not a dict", "JSON object"),
     ({}, "exactly one of"),
